@@ -82,7 +82,7 @@ func BenchmarkLocalCommit(b *testing.B) {
 // BenchmarkLocalCommitParallel measures the group-commit win: 8
 // committers on disjoint items, each commit force-written to a real
 // synced file log. Unbatched, every committer pays its own fsync in
-// turn; grouped, the flusher folds concurrent commits into one
+// turn; grouped, each flush's leader folds concurrent commits into one
 // write+fsync, so throughput scales with the batch instead of
 // serializing on the disk. The grouped/unbatched ratio is the PR's
 // headline number (recorded in BENCH_PR3.json).

@@ -47,6 +47,12 @@ go test -race -shuffle=on ./...
 # dials unthrottled), the hardened half bounds it (≤25).
 go test -race -run 'TestDeadPeerDialRateBounded' -count=1 ./internal/tcpnet
 
+# Group-commit race stress: the leader/follower hand-off in
+# wal.GroupLog is the WAL's only synchronization between committers,
+# so its tests run repeatedly under race to shake out interleavings a
+# single pass misses.
+go test -race -count=20 -run 'Group' ./internal/wal
+
 # Bench smoke: one iteration of the perf-bearing benchmarks, so the
 # group-commit, Vm, fast-path, tracing-overhead and recovery pipelines
 # stay runnable under `go test -bench` without paying full measurement

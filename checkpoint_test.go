@@ -10,8 +10,8 @@ import (
 )
 
 // TestCheckpointUnderGroupCommitLoad interleaves the automatic
-// checkpointer (plus explicit Checkpoint calls) with committers parked
-// on the group-commit flusher: the durable LSN must never regress
+// checkpointer (plus explicit Checkpoint calls) with committers waiting
+// in group commit: the durable LSN must never regress
 // while checkpoints compact the log underfoot, the pipeline must fully
 // drain, and a crash-restart through the compacted log must recover
 // the exact durable state via the checkpoint and parallel replay.

@@ -146,14 +146,15 @@ type Config struct {
 	LogAppendDelay time.Duration
 
 	// GroupCommit batches concurrent log appends per site into single
-	// force-writes: committers park on a dedicated flusher goroutine's
-	// durable-LSN notification instead of each paying their own fsync.
+	// force-writes: the first committer to find no flush running
+	// writes everything queued, and the others wait for that write
+	// instead of each paying their own fsync.
 	// The Log contract is unchanged (Append returns ⇒ record stable).
 	GroupCommit bool
 	// GroupCommitMaxBatch bounds records per flush (default 128).
 	GroupCommitMaxBatch int
-	// GroupCommitLinger is how long the flusher waits after the first
-	// record of a batch for concurrent committers to join (default 0:
+	// GroupCommitLinger is how long a flush's leader waits before
+	// writing, for concurrent committers to join (default 0:
 	// flush immediately; arrivals during a flush still batch up).
 	GroupCommitLinger time.Duration
 

@@ -446,10 +446,10 @@ func (r *runner) apply(round int, e Event) {
 		}
 		site := e.Site
 		var once sync.Once
-		// The hook runs on the flusher goroutine at the start of a
-		// flush window (before the force-write); the kill must come
-		// from a fresh goroutine — Crash blocks on the lifecycle fence
-		// until parked committers drain, which needs the flusher free.
+		// The hook runs on the flush leader's goroutine at the start
+		// of a flush window (before the force-write); the kill must
+		// come from a fresh goroutine — Crash blocks on the lifecycle
+		// fence until waiting committers drain, leader included.
 		gl.SetFlushHook(func(batch int) {
 			once.Do(func() {
 				r.mu.Lock()

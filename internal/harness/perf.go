@@ -13,7 +13,7 @@ import (
 // expP1: performance — the group-commit WAL pipeline. §5 makes the
 // stability of the commit record the commit point; nothing says each
 // transaction must pay its own force-write. P1 sweeps site count,
-// committers per site and the flusher's linger, with a fixed simulated
+// committers per site and the group-commit linger, with a fixed simulated
 // force-write cost per flush (LogAppendDelay), so the batching win is
 // deterministic and visible regardless of host disk speed.
 func expP1() Experiment {

@@ -191,6 +191,7 @@ func decodeRecord(r wal.Record) decoded {
 	case wal.RecApplied, wal.RecCheckpoint:
 		// RecApplied bounds redo in systems whose store can regress;
 		// our store's applied-LSN already skips, so nothing to do.
+		// Current sites no longer write it; older logs still hold it.
 		// Checkpoints were handled in pass 1 (including damaged ones,
 		// which the fallback ladder skipped).
 	case wal.RecPrepare, wal.RecDecision, wal.RecBaseApplied:

@@ -147,41 +147,37 @@ func (s *Site) logAppend(kind wal.RecordKind, data []byte) (uint64, error) {
 }
 
 // commitDurably is the shared §5 step-5/6 core: append the commit
-// record (its stability commits the transaction), apply the actions,
-// append the applied record. Both records encode into pooled wire
-// buffers; the Log contract (data borrowed, never retained) lets each
-// buffer return to the pool immediately. The caller must hold
-// lifeMu's read side (crash atomicity: once Crash returns, no
-// stale-epoch commit record can still reach the log) and the stripes
-// covering every action's item (the store's page-LSN idempotence
-// needs same-item records applied in LSN order; group commit wakes a
-// whole batch of appenders at once, so without the stripes a
-// lower-LSN commit could apply after a higher-LSN Vm record on the
-// same item and be silently skipped). ckptMu's read side is taken
-// here, keeping the append+apply pair atomic against Checkpoint's
-// cut. The actions slice is borrowed for the call — the fast path
-// passes stack scratch.
+// record (its stability commits the transaction), then apply the
+// actions. There is no separate step-6 "applied" record: the store is
+// in memory and rebuilt by redo, which the per-item applied LSN makes
+// idempotent, so such a record would bound no recovery work. The
+// record encodes into a pooled wire buffer; the Log contract (data
+// borrowed, never retained) lets it return to the pool immediately.
+// The caller must hold lifeMu's read side (crash atomicity: once
+// Crash returns, no stale-epoch commit record can still reach the
+// log) and the stripes covering every action's item (the store's
+// page-LSN idempotence needs same-item records applied in LSN order;
+// group commit releases a whole batch of appenders at once, so
+// without the stripes a lower-LSN commit could apply after a
+// higher-LSN Vm record on the same item and be silently skipped).
+// ckptMu's read side is taken here, keeping the append+apply pair
+// atomic against Checkpoint's cut. The actions slice is borrowed for
+// the call — the fast path passes stack scratch.
 func (s *Site) commitDurably(ts tstamp.TS, actions []wal.Action) (uint64, error) {
 	s.ckptMu.RLock()
+	defer s.ckptMu.RUnlock()
 	w := wire.GetWriter()
 	rec := wal.CommitRec{Txn: ts, Actions: actions}
 	rec.EncodeTo(w)
 	lsn, err := s.logAppend(wal.RecCommit, w.Bytes())
 	wire.PutWriter(w)
 	if err != nil {
-		s.ckptMu.RUnlock()
 		return 0, err
 	}
 	if _, err := s.cfg.DB.ApplyAll(lsn, actions); err != nil {
 		// Protocol invariant broken; surface loudly in development.
 		panic("site: committed actions failed to apply: " + err.Error())
 	}
-	w = wire.GetWriter()
-	applied := wal.AppliedRec{CommitLSN: lsn}
-	applied.EncodeTo(w)
-	_, _ = s.logAppend(wal.RecApplied, w.Bytes())
-	wire.PutWriter(w)
-	s.ckptMu.RUnlock()
 	return lsn, nil
 }
 

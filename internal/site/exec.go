@@ -36,7 +36,9 @@ func (s *Site) runSlow(t *txn.Txn) *txn.Result {
 		tr.SetSpan(rootSpan)
 	}
 	// step records one protocol-step boundary: the trace step plus its
-	// segment duration into dvp_step_seconds{step=...}.
+	// segment duration into dvp_step_seconds{step=...}. Callers format
+	// a detail only when tr is live; untraced commits pass "" and so
+	// pay no fmt boxing.
 	segStart := start
 	step := func(name, detail string) {
 		now := s.cfg.Clock.Now()
@@ -65,7 +67,11 @@ func (s *Site) runSlow(t *txn.Txn) *txn.Result {
 	id := ts.Txn()
 	items := t.Items()
 	tr.SetTS(uint64(ts))
-	step("admit", fmt.Sprintf("items=%d", len(items)))
+	var detail string
+	if tr != nil {
+		detail = fmt.Sprintf("items=%d", len(items))
+	}
+	step("admit", detail)
 
 	// Step 1 — atomically lock the local values of A(t), with the
 	// scheme's admission check, stamping under Conc1. The stripes
@@ -113,7 +119,10 @@ func (s *Site) runSlow(t *txn.Txn) *txn.Result {
 			tctx = wire.TraceCtx{Origin: s.cfg.ID, TS: ts, Span: rootSpan}
 		}
 		res.RequestsSent = s.sendRequests(ts, shortfall, t.Reads, t.Ask, tctx)
-		step("ask", fmt.Sprintf("requests=%d policy=%v", res.RequestsSent, t.Ask))
+		if tr != nil {
+			detail = fmt.Sprintf("requests=%d policy=%v", res.RequestsSent, t.Ask)
+		}
+		step("ask", detail)
 
 		// Step 3 — await the requisite Vm or the timeout.
 		timeout := t.Timeout
@@ -139,13 +148,19 @@ func (s *Site) runSlow(t *txn.Txn) *txn.Result {
 				// rebalancing signal there is.
 				s.recordDeficit(w.needs)
 				res.VmAccepted = w.acceptedCount()
-				step("vm-accept", fmt.Sprintf("accepted=%d", res.VmAccepted))
+				if tr != nil {
+					detail = fmt.Sprintf("accepted=%d", res.VmAccepted)
+				}
+				step("vm-accept", detail)
 				s.obsm.flight.Recordf(s.obsm.site, "txn-timeout", "txn=%v label=%s accepted=%d", ts, t.Label, res.VmAccepted)
 				return finish(txn.StatusTimeout)
 			}
 		}
 		res.VmAccepted = w.acceptedCount()
-		step("vm-accept", fmt.Sprintf("accepted=%d", res.VmAccepted))
+		if tr != nil {
+			detail = fmt.Sprintf("accepted=%d", res.VmAccepted)
+		}
+		step("vm-accept", detail)
 	}
 
 	// Step 4 — perform the computation: apply the operators in order
@@ -204,11 +219,14 @@ func (s *Site) runSlow(t *txn.Txn) *txn.Result {
 		s.lifeMu.RUnlock()
 		return finish(txn.StatusSiteDown)
 	}
-	step("wal-flush", fmt.Sprintf("lsn=%d actions=%d", lsn, len(actions)))
+	if tr != nil {
+		detail = fmt.Sprintf("lsn=%d actions=%d", lsn, len(actions))
+	}
+	step("wal-flush", detail)
 	unlockW()
 	s.lifeMu.RUnlock()
-	// Step 6 happened inside commitDurably: apply, then the applied
-	// record — the shared durability core both paths funnel through.
+	// Step 6 happened inside commitDurably: apply — the shared
+	// durability core both paths funnel through.
 	step("apply", "")
 
 	// Step 7 — locks released by the deferred ReleaseAll. Flow

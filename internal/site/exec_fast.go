@@ -24,8 +24,8 @@ const maxFastOps = 8
 // without any map or slice allocation, and without ever taking s.mu:
 // per-item composed needs and deltas live in fixed arrays, the quota
 // pre-check reads lock-free atomic hints, stripes are locked by
-// bitmask, and the commit/applied records are encoded into pooled
-// wire buffers.
+// bitmask, and the commit record is encoded into a pooled wire
+// buffer.
 //
 // It returns nil to decline — wrong shape, hint miss, stale hint, or
 // site down — and the caller falls through to the full protocol.
@@ -152,9 +152,8 @@ func (s *Site) runFast(t *txn.Txn) *txn.Result {
 	// commitDurably with the stripes still held — the items' stripes
 	// cover the written items, so this is the same atomic unit as
 	// runSlow's step 5/6, through the same shared durability core
-	// (pooled wire buffers, append + apply + applied record under
-	// ckptMu's read side). actions is stack scratch; commitDurably
-	// only borrows it.
+	// (pooled wire buffer, append + apply under ckptMu's read side).
+	// actions is stack scratch; commitDurably only borrows it.
 	lsn, err := s.commitDurably(ts, actions[:m])
 	if err != nil {
 		s.unlockStripeMask(mask)

@@ -15,6 +15,7 @@ import (
 	"dvp/internal/tstamp"
 	"dvp/internal/txn"
 	"dvp/internal/vmsg"
+	"dvp/internal/wal"
 )
 
 // TestLogIsCompleteRecord rebuilds a site's store purely from its log
@@ -58,6 +59,65 @@ func TestLogIsCompleteRecord(t *testing.T) {
 				t.Errorf("site %v %s: log replay %d, live store %d", s.ID(), item, got, want)
 			}
 		}
+	}
+}
+
+// TestLocalCommitWritesOneRecord: on both execution paths a local
+// commit's only WAL record is its RecCommit (§5 step 5) — there is no
+// separate step-6 applied record — and a log that also holds the
+// RecApplied records an older build wrote after each commit still
+// recovers, by replay into a fresh store and by crash-restart.
+func TestLocalCommitWritesOneRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(int, *Config)
+	}{
+		{"fastpath", nil},
+		{"slowpath", func(_ int, c *Config) { c.DisableFastPath = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := newTestCluster(t, 2, simnet.Config{Seed: 41}, tc.mutate)
+			cl.createItem("a", 100)
+			s, log := cl.sites[0], cl.logs[0]
+			for i := 0; i < 3; i++ {
+				before := log.LastLSN()
+				if res := s.Run(reserve("a", 5)); !res.Committed() {
+					t.Fatalf("local reserve %d: %v", i, res.Status)
+				}
+				var kinds []wal.RecordKind
+				log.Scan(before+1, func(r wal.Record) error {
+					kinds = append(kinds, r.Kind)
+					return nil
+				})
+				if len(kinds) != 1 || kinds[0] != wal.RecCommit {
+					t.Fatalf("commit %d wrote records %v, want [commit]", i, kinds)
+				}
+				// What an older build appended after each commit.
+				if _, err := log.Append(wal.RecApplied, (&wal.AppliedRec{CommitLSN: before + 1}).Encode()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const want = 50 - 3*5
+
+			replica := store.New()
+			replica.Create("a", 50)
+			if _, err := recovery.Recover(log, replica, vmsg.NewManager(), tstamp.NewClock(s.ID())); err != nil {
+				t.Fatalf("replay of a log with applied records: %v", err)
+			}
+			if got := replica.Value("a"); got != want {
+				t.Errorf("replayed value %d, want %d", got, want)
+			}
+			s.Crash()
+			if err := s.Restart(); err != nil {
+				t.Fatalf("restart over a log with applied records: %v", err)
+			}
+			if got := s.DB().Value("a"); got != want {
+				t.Errorf("restarted value %d, want %d", got, want)
+			}
+			if res := s.Run(reserve("a", 5)); !res.Committed() {
+				t.Errorf("commit after restart: %v", res.Status)
+			}
+		})
 	}
 }
 

@@ -120,7 +120,9 @@ func (s *Site) processVm(from ident.SiteID, m *wire.Vm) bool {
 		hop.Finish("log-error")
 		return false
 	}
-	hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", lsn, m.Amount, m.Seq))
+	if hop != nil {
+		hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", lsn, m.Amount, m.Seq))
+	}
 	s.flow.merge(m.Item, flowVecFromEntries(m.FlowVec))
 	stripe.Unlock()
 	hop.Step("apply", "")

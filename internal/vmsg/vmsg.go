@@ -214,6 +214,10 @@ func (m *Manager) SetRetireHook(fn func(peer ident.SiteID, v wal.VmOut)) {
 
 // OnAck processes a cumulative acknowledgement from peer: every Vm
 // with seq ≤ upTo is complete and leaves the retransmission set.
+// Retirement looks up the newly acked seqs (cumAck, upTo] one by one
+// rather than scanning the pending map, whose table never shrinks
+// after a recovery restores thousands of Vm; every pending seq is
+// ≤ nextSeq, which bounds the walk against an ack past anything sent.
 func (m *Manager) OnAck(peer ident.SiteID, upTo uint64) {
 	m.mu.Lock()
 	c := m.outChan(peer)
@@ -221,6 +225,7 @@ func (m *Manager) OnAck(peer ident.SiteID, upTo uint64) {
 		m.mu.Unlock()
 		return
 	}
+	from := c.cumAck + 1
 	c.cumAck = upTo
 	// A cumulative ack that advances the channel is proof the peer is
 	// back (or never left): snap retransmission pacing to the base
@@ -228,35 +233,33 @@ func (m *Manager) OnAck(peer ident.SiteID, upTo uint64) {
 	c.retxGap = 0
 	c.retxAt = time.Time{}
 	var retired []wal.VmOut
-	for seq, v := range c.pending {
-		if seq <= upTo {
-			delete(c.pending, seq)
-			if m.onRetire != nil {
-				retired = append(retired, v)
+	for seq := from; seq <= min(upTo, c.nextSeq); seq++ {
+		v, ok := c.pending[seq]
+		if !ok {
+			continue
+		}
+		delete(c.pending, seq)
+		if m.onRetire != nil {
+			retired = append(retired, v)
+		}
+		if at, ok := c.sentAt[seq]; ok {
+			rtt := time.Since(at)
+			// EWMA with α = 0.2: smooth enough to ride out one
+			// retransmitted straggler, fresh enough to track a
+			// congested link within a few acks.
+			if c.rttEWMA == 0 {
+				c.rttEWMA = rtt
+			} else {
+				c.rttEWMA = (4*c.rttEWMA + rtt) / 5
 			}
-			if at, ok := c.sentAt[seq]; ok {
-				rtt := time.Since(at)
-				// EWMA with α = 0.2: smooth enough to ride out one
-				// retransmitted straggler, fresh enough to track a
-				// congested link within a few acks.
-				if c.rttEWMA == 0 {
-					c.rttEWMA = rtt
-				} else {
-					c.rttEWMA = (4*c.rttEWMA + rtt) / 5
-				}
-				if c.ackRTT != nil {
-					c.ackRTT.Record(rtt)
-				}
-				delete(c.sentAt, seq)
+			if c.ackRTT != nil {
+				c.ackRTT.Record(rtt)
 			}
+			delete(c.sentAt, seq)
 		}
 	}
 	fn := m.onRetire
 	m.mu.Unlock()
-	if fn == nil {
-		return
-	}
-	sort.Slice(retired, func(i, j int) bool { return retired[i].Seq < retired[j].Seq })
 	for _, v := range retired {
 		fn(peer, v)
 	}
@@ -505,6 +508,7 @@ func (m *Manager) RestoreChannels(chs []wal.VmChannelState) {
 		for _, v := range ch.Pending {
 			if v.Seq > oc.cumAck {
 				oc.pending[v.Seq] = v
+				oc.nextSeq = max(oc.nextSeq, v.Seq) // OnAck walks to nextSeq
 			}
 		}
 		ic := m.inChan(ch.Peer)

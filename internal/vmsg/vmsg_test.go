@@ -1,6 +1,7 @@
 package vmsg
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -98,6 +99,65 @@ func TestRetireHookSeqOrderPerAck(t *testing.T) {
 	}
 	if m.HasOutstanding("a") || m.HasOutstanding("b") {
 		t.Error("acked Vm still outstanding")
+	}
+}
+
+// TestOnAckRetiresRestoredPendingInSteps: after a restore leaves a
+// large pending set (with gaps, and a snapshot cursor behind its
+// highest seq), acks in uneven steps retire exactly the pending seqs
+// each newly covers, in seq order through the hook, and PendingTo
+// keeps exactly the rest — including an ack past anything sent.
+func TestOnAckRetiresRestoredPendingInSteps(t *testing.T) {
+	const base, n = 10, 600
+	ch := wal.VmChannelState{Peer: 2, OutSeq: base + n/2, CumAck: base}
+	want := make(map[uint64]bool)
+	for seq := uint64(base + 1); seq <= base+n; seq++ {
+		if seq%7 == 0 {
+			continue // allocated but never created: a gap in the set
+		}
+		ch.Pending = append(ch.Pending, wal.VmOut{To: 2, Seq: seq, Item: "a", Amount: 1})
+		want[seq] = true
+	}
+	m := NewManager()
+	m.RestoreChannels([]wal.VmChannelState{ch})
+	var retired []uint64
+	m.SetRetireHook(func(peer ident.SiteID, v wal.VmOut) {
+		if peer != 2 {
+			t.Errorf("retire hook peer = %v, want 2", peer)
+		}
+		retired = append(retired, v.Seq)
+	})
+
+	prev := uint64(base)
+	for _, upTo := range []uint64{base, base + 1, base + 13, base + 14, base + 250, base + 251, base + n - 1, base + n + 1000} {
+		retired = retired[:0]
+		m.OnAck(2, upTo)
+		var wantRetired []uint64
+		for seq := prev + 1; seq <= upTo; seq++ {
+			if want[seq] {
+				wantRetired = append(wantRetired, seq)
+				delete(want, seq)
+			}
+		}
+		prev = max(prev, upTo)
+		if fmt.Sprint(retired) != fmt.Sprint(wantRetired) {
+			t.Fatalf("ack %d retired %v, want %v", upTo, retired, wantRetired)
+		}
+		pending := m.PendingTo(2)
+		if len(pending) != len(want) {
+			t.Fatalf("ack %d: %d pending, want %d", upTo, len(pending), len(want))
+		}
+		for i, v := range pending {
+			if !want[v.Seq] || (i > 0 && pending[i-1].Seq >= v.Seq) {
+				t.Fatalf("ack %d: pending %v out of set or order", upTo, v.Seq)
+			}
+		}
+		if m.CumAck(2) != prev {
+			t.Fatalf("ack %d: CumAck = %d, want %d", upTo, m.CumAck(2), prev)
+		}
+	}
+	if m.PendingCount(2) != 0 {
+		t.Errorf("%d Vm still pending after the final ack", m.PendingCount(2))
 	}
 }
 

@@ -136,7 +136,7 @@ func truncateBy(t *testing.T, path string, n int64) {
 }
 
 // TestCompactConcurrentWithGroupFlush is the checkpointing interleave:
-// appenders parked on the group-commit flusher while Compact runs
+// appenders waiting in group commit while Compact runs
 // against the inner file log, with concurrent Scans auditing the image.
 // The durable LSN must never regress, every acknowledged append above
 // the compaction bound must survive, and no Scan may observe a torn or

@@ -14,52 +14,59 @@ type GroupCommitOptions struct {
 	// MaxBatch bounds how many records one flush may carry
 	// (default 128).
 	MaxBatch int
-	// Linger is how long the flusher waits after the first record of
-	// a batch arrives before forcing, giving concurrent committers a
-	// window to join. Zero (the default) flushes immediately; natural
-	// batching still happens, because arrivals during an in-progress
-	// flush queue up and ride the next one.
+	// Linger is how long a flush's leader waits after taking the lead
+	// before forcing, giving concurrent committers a window to join.
+	// Zero (the default) flushes immediately; natural batching still
+	// happens, because arrivals during an in-progress flush queue up
+	// and ride the next one.
 	Linger time.Duration
 	// Clock times the linger (nil = real clock).
 	Clock vclock.Clock
 }
 
-// groupWaiter is one queued append and the parked caller's mailbox.
+// groupWaiter is one queued append. The leader that flushes it sets
+// lsn or err under GroupLog.mu; LSNs start at 1, so either being set
+// means flushed.
 type groupWaiter struct {
 	entry BatchEntry
 	lsn   uint64
 	err   error
-	done  chan struct{}
 }
 
-// GroupLog is the group-commit pipeline: a Log whose Append parks the
-// caller while a dedicated flusher goroutine drains the queue of all
-// concurrent appends into a single AppendBatch on the inner log — one
-// write, one force, many commit points (§5 step 5: stability of the
-// record is the commit point; *whose* fsync made it stable is
-// immaterial). Append keeps the Log contract exactly: when it returns
-// nil, the record is stable.
+// GroupLog is the group-commit pipeline: a Log whose concurrent
+// appends share one AppendBatch on the inner log — one write, one
+// force, many commit points (§5 step 5: stability of the record is the
+// commit point; *whose* fsync made it stable is immaterial). Append
+// keeps the Log contract exactly: when it returns nil, the record is
+// stable.
+//
+// Flushes run on the appenders' own goroutines. An appender that
+// finds no flush in progress leads one: it writes the queue with one
+// AppendBatch and marks each record flushed. Appenders arriving
+// meanwhile queue and wait; then one whose record is still queued
+// leads the next flush. A lone committer pays one write, no hand-off.
 //
 // The GroupLog itself is volatile (the queue is process state): a
 // crash loses queued-but-unflushed records, which is safe because
-// their appenders were still parked and nothing was acknowledged.
+// their appenders were still waiting and nothing was acknowledged.
 type GroupLog struct {
 	inner Log
 	batch BatchAppender // inner's native batching, if any
 	opts  GroupCommitOptions
 
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     *sync.Cond // broadcast when a flush ends
 	queue    []*groupWaiter
+	spare    []*groupWaiter // the last flushed batch's array, reused
+	flushing bool
 	inFlight int
 	durable  uint64
 	closed   bool
-	done     chan struct{}
 
 	hook func(batch int) // test/chaos observation of each flush
 
-	// entryScratch is the flusher's reusable batch-assembly buffer;
-	// only the flusher goroutine touches it.
+	// entryScratch is the leader's reusable batch-assembly buffer;
+	// flushing excludes a second leader, so one buffer serves all.
 	entryScratch []BatchEntry
 
 	// Flight recording (see SetFlight); nil when not recording.
@@ -73,8 +80,8 @@ type GroupLog struct {
 	records   *metrics.Counter
 }
 
-// NewGroupLog wraps inner with a group-commit flusher. Close stops the
-// flusher and closes inner.
+// NewGroupLog wraps inner with group commit. It starts no goroutine;
+// Close flushes what is queued and closes inner.
 func NewGroupLog(inner Log, opts GroupCommitOptions) *GroupLog {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 128
@@ -86,137 +93,120 @@ func NewGroupLog(inner Log, opts GroupCommitOptions) *GroupLog {
 		inner:   inner,
 		opts:    opts,
 		durable: inner.LastLSN(),
-		done:    make(chan struct{}),
 	}
 	if ba, ok := inner.(BatchAppender); ok {
 		g.batch = ba
 	}
 	g.cond = sync.NewCond(&g.mu)
-	go g.flusher()
 	return g
 }
 
-// Append implements Log: enqueue and park until the flusher reports
-// the record stable.
+// Append implements Log: enqueue, then lead a flush or wait for the
+// current leader, until the record is stable.
 //
-// data is borrowed, not copied: the caller stays parked until the
-// flusher has handed it to the inner log (which consumes it before
-// AppendBatch returns), so the buffer is pinned for exactly the span
-// the flusher needs it. This lets committers encode records into
-// pooled scratch and return it right after Append — the whole batch is
-// built with zero intermediate copies.
+// data is borrowed, not copied: the caller stays in Append until a
+// leader has handed it to the inner log (which consumes it before
+// AppendBatch returns). This lets committers encode records into
+// pooled scratch and return it right after Append — the whole batch
+// is built with zero intermediate copies.
 func (g *GroupLog) Append(kind RecordKind, data []byte) (uint64, error) {
-	w := &groupWaiter{
-		entry: BatchEntry{Kind: kind, Data: data},
-		done:  make(chan struct{}),
-	}
+	w := &groupWaiter{entry: BatchEntry{Kind: kind, Data: data}}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
 		return 0, ErrClosed
 	}
 	g.queue = append(g.queue, w)
-	g.cond.Signal()
+	for w.lsn == 0 && w.err == nil {
+		if g.flushing {
+			g.cond.Wait()
+		} else {
+			g.flushLocked()
+		}
+	}
 	g.mu.Unlock()
-	<-w.done
 	return w.lsn, w.err
 }
 
-// flusher is the dedicated group-commit goroutine: wait for work,
-// optionally linger to let a group gather, then force the whole group
-// with one inner AppendBatch and wake every parked appender.
-func (g *GroupLog) flusher() {
-	defer close(g.done)
-	for {
-		g.mu.Lock()
-		for len(g.queue) == 0 && !g.closed {
-			g.cond.Wait()
-		}
-		if len(g.queue) == 0 && g.closed {
-			g.mu.Unlock()
-			return
-		}
-		if g.opts.Linger > 0 && len(g.queue) < g.opts.MaxBatch && !g.closed {
-			g.mu.Unlock()
-			g.opts.Clock.Sleep(g.opts.Linger)
-			g.mu.Lock()
-		}
-		n := len(g.queue)
-		if n > g.opts.MaxBatch {
-			n = g.opts.MaxBatch
-		}
-		group := g.queue[:n:n]
-		g.queue = append([]*groupWaiter(nil), g.queue[n:]...)
-		g.inFlight = n
-		hook := g.hook
-		flushLat := g.flushLat
-		flight, flightSite := g.flight, g.flightSite
+// flushLocked leads one flush: optionally linger to let a group
+// gather, then force up to MaxBatch queued records with one inner
+// AppendBatch and mark each flushed. Caller holds g.mu with a
+// non-empty queue and no flush in progress; the lock is dropped for
+// the linger and the write and held again on return.
+func (g *GroupLog) flushLocked() {
+	g.flushing = true
+	if g.opts.Linger > 0 && len(g.queue) < g.opts.MaxBatch && !g.closed {
 		g.mu.Unlock()
-
-		if hook != nil {
-			hook(n)
-		}
-		// entryScratch is reused across flushes (only the flusher
-		// goroutine touches it); entries are cleared after the write so
-		// the scratch never pins the appenders' pooled data buffers.
-		if cap(g.entryScratch) < n {
-			g.entryScratch = make([]BatchEntry, n)
-		}
-		entries := g.entryScratch[:n]
-		for i, w := range group {
-			entries[i] = w.entry
-		}
-		var start time.Time
-		if flushLat != nil {
-			start = time.Now()
-		}
-		var first uint64
-		var err error
-		if g.batch != nil {
-			first, err = g.batch.AppendBatch(entries)
-		} else {
-			first, err = appendBatchFallback(g.inner, entries)
-		}
-		if flushLat != nil {
-			flushLat.Record(time.Since(start))
-			// The batch-size histogram reuses the duration histogram's
-			// log-spaced buckets by encoding size n as n microseconds.
-			g.mu.Lock()
-			batchHist, flushes, records := g.batchHist, g.flushes, g.records
-			g.mu.Unlock()
-			batchHist.Record(time.Duration(n) * time.Microsecond)
-			flushes.Inc()
-			records.Add(uint64(n))
-		}
-
-		for i := range entries {
-			entries[i] = BatchEntry{}
-		}
-
-		if err == nil {
-			flight.Recordf(flightSite, "wal-flush", "records=%d first_lsn=%d", n, first)
-		} else {
-			flight.Recordf(flightSite, "wal-flush-err", "records=%d err=%v", n, err)
-		}
-
+		g.opts.Clock.Sleep(g.opts.Linger)
 		g.mu.Lock()
-		if err == nil {
-			g.durable = first + uint64(n) - 1
-		}
-		g.inFlight = 0
-		g.mu.Unlock()
-		for i, w := range group {
-			if err != nil {
-				w.err = err
-			} else {
-				w.lsn = first + uint64(i)
-			}
-			close(w.done)
+	}
+	n := min(len(g.queue), g.opts.MaxBatch)
+	// The batch keeps the queue's array; later arrivals go to the
+	// spare one, so the leader can read the batch without the lock.
+	group := g.queue[:n]
+	g.queue = append(g.spare[:0], g.queue[n:]...)
+	g.inFlight = n
+	hook := g.hook
+	flight, flightSite := g.flight, g.flightSite
+	flushLat, batchHist, flushes, records := g.flushLat, g.batchHist, g.flushes, g.records
+	g.mu.Unlock()
+
+	if hook != nil {
+		hook(n)
+	}
+	if cap(g.entryScratch) < n {
+		g.entryScratch = make([]BatchEntry, n)
+	}
+	entries := g.entryScratch[:n]
+	for i, w := range group {
+		entries[i] = w.entry
+	}
+	var start time.Time
+	if flushLat != nil {
+		start = time.Now()
+	}
+	var first uint64
+	var err error
+	if g.batch != nil {
+		first, err = g.batch.AppendBatch(entries)
+	} else {
+		first, err = appendBatchFallback(g.inner, entries)
+	}
+	if flushLat != nil {
+		flushLat.Record(time.Since(start))
+		// The batch-size histogram reuses the duration histogram's
+		// log-spaced buckets by encoding size n as n microseconds.
+		batchHist.Record(time.Duration(n) * time.Microsecond)
+		flushes.Inc()
+		records.Add(uint64(n))
+	}
+	// Clear the scratch so it never pins the appenders' pooled data.
+	clear(entries)
+	if err == nil {
+		flight.Recordf(flightSite, "wal-flush", "records=%d first_lsn=%d", n, first)
+	} else {
+		flight.Recordf(flightSite, "wal-flush-err", "records=%d err=%v", n, err)
+	}
+
+	g.mu.Lock()
+	if err == nil {
+		g.durable = first + uint64(n) - 1
+	}
+	for i, w := range group {
+		if err != nil {
+			w.err = err
+		} else {
+			w.lsn = first + uint64(i)
 		}
 	}
+	clear(group)
+	g.spare = group[:0]
+	g.inFlight = 0
+	g.flushing = false
+	g.cond.Broadcast()
 }
 
-// DurableLSN reports the highest LSN the flusher has made stable. At a
+// DurableLSN reports the highest LSN a flush has made stable. At a
 // quiescent point it equals LastLSN(); mid-flush it trails it.
 func (g *GroupLog) DurableLSN() uint64 {
 	g.mu.Lock()
@@ -235,9 +225,10 @@ func (g *GroupLog) Waiters() int {
 }
 
 // SetFlushHook installs fn to be called at the start of every flush
-// with the batch size. Chaos uses it to land a crash inside the
-// group-commit window; fn must not call back into the GroupLog's
-// appenders synchronously (crash the site from a fresh goroutine).
+// with the batch size, on the leading appender's goroutine before the
+// write. Chaos uses it to land a crash inside the group-commit window;
+// fn must not wait on the GroupLog's appenders (crash the site from a
+// fresh goroutine).
 func (g *GroupLog) SetFlushHook(fn func(batch int)) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -280,19 +271,24 @@ func (g *GroupLog) LastLSN() uint64 { return g.inner.LastLSN() }
 // drops LSNs ≤ upto, which are already durable.
 func (g *GroupLog) Compact(upto uint64) error { return g.inner.Compact(upto) }
 
-// Close drains the queue (flushing any remaining records), stops the
-// flusher and closes the inner log.
+// Close flushes every queued record, waits out a flush in progress,
+// and closes the inner log. Appends after Close fail with ErrClosed;
+// a second Close returns nil.
 func (g *GroupLog) Close() error {
 	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		<-g.done
+	already := g.closed
+	g.closed = true
+	for len(g.queue) > 0 || g.flushing {
+		if g.flushing {
+			g.cond.Wait()
+		} else {
+			g.flushLocked()
+		}
+	}
+	g.mu.Unlock()
+	if already {
 		return nil
 	}
-	g.closed = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
-	<-g.done
 	return g.inner.Close()
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,13 +43,9 @@ func TestGroupLogBatchesConcurrentAppends(t *testing.T) {
 	g := NewGroupLog(inner, GroupCommitOptions{})
 	defer g.Close()
 
-	release := make(chan struct{})
 	var flushes atomic.Int64
-	var gateOnce sync.Once
-	g.SetFlushHook(func(batch int) {
-		flushes.Add(1)
-		gateOnce.Do(func() { <-release })
-	})
+	flushes.Add(1) // the gated first flush
+	release := gateFirstFlush(g, func(int64, int) { flushes.Add(1) })
 
 	const k = 32
 	lsns := make([]uint64, k)
@@ -65,12 +62,8 @@ func TestGroupLogBatchesConcurrentAppends(t *testing.T) {
 			lsns[i] = lsn
 		}(i)
 	}
-	// Wait for the first flush to be gated and the rest to queue up.
-	deadline := time.Now().Add(2 * time.Second)
-	for g.Waiters() < k-1 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
-	close(release)
+	waitForWaiters(t, g, k)
+	release()
 	wg.Wait()
 
 	if n := flushes.Load(); n >= k/2 {
@@ -93,14 +86,11 @@ func TestGroupLogMaxBatch(t *testing.T) {
 	g := NewGroupLog(inner, GroupCommitOptions{MaxBatch: 4})
 	defer g.Close()
 
-	release := make(chan struct{})
-	var gateOnce sync.Once
 	var maxSeen atomic.Int64
-	g.SetFlushHook(func(batch int) {
+	release := gateFirstFlush(g, func(_ int64, batch int) {
 		if int64(batch) > maxSeen.Load() {
 			maxSeen.Store(int64(batch))
 		}
-		gateOnce.Do(func() { <-release })
 	})
 
 	const k = 19
@@ -114,11 +104,8 @@ func TestGroupLogMaxBatch(t *testing.T) {
 			}
 		}()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for g.Waiters() < k-1 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
-	close(release)
+	waitForWaiters(t, g, k)
+	release()
 	wg.Wait()
 	if maxSeen.Load() > 4 {
 		t.Errorf("flush carried %d records, MaxBatch is 4", maxSeen.Load())
@@ -152,35 +139,274 @@ func TestGroupLogLinger(t *testing.T) {
 	}
 }
 
+// gateFirstFlush makes the first flush's leader wait in the flush hook
+// until the returned release is called, so the appenders started
+// meanwhile all queue behind it; then calls next, if non-nil, for
+// every later flush.
+func gateFirstFlush(g *GroupLog, next func(call int64, batch int)) (release func()) {
+	ch := make(chan struct{})
+	var calls atomic.Int64
+	g.SetFlushHook(func(batch int) {
+		call := calls.Add(1)
+		if call == 1 {
+			<-ch
+		} else if next != nil {
+			next(call, batch)
+		}
+	})
+	return func() { close(ch) }
+}
+
+// waitForWaiters polls until n appends are queued or in flight.
+func waitForWaiters(t *testing.T, g *GroupLog, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Waiters() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d appenders queued", g.Waiters(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestGroupLogErrorFailsWholeGroup: a failing AppendBatch returns its
+// error to every appender of that batch — none of them may be
+// acknowledged — and the next leader then flushes normally.
 func TestGroupLogErrorFailsWholeGroup(t *testing.T) {
 	inner := NewMemLog()
 	boom := errors.New("disk full")
 	g := NewGroupLog(inner, GroupCommitOptions{})
 	defer g.Close()
 
-	inner.SetAppendHook(func(Record) error { return boom })
-	if _, err := g.Append(RecCommit, nil); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
+	var failedBatch atomic.Int64
+	release := gateFirstFlush(g, func(call int64, batch int) {
+		// The hook runs before the write: arm the fault for the
+		// second flush (the queued group), disarm it for the third.
+		if call == 2 {
+			failedBatch.Store(int64(batch))
+			inner.SetAppendHook(func(Record) error { return boom })
+		} else {
+			inner.SetAppendHook(nil)
+		}
+	})
+	const k = 8
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = g.Append(RecCommit, []byte{byte(i)})
+		}(i)
 	}
-	inner.SetAppendHook(nil)
-	if lsn, err := g.Append(RecCommit, nil); err != nil || lsn != 1 {
-		t.Fatalf("after recovery: lsn=%d err=%v", lsn, err)
+	waitForWaiters(t, g, k)
+	release()
+	wg.Wait()
+
+	var failed int
+	for _, err := range errs {
+		switch {
+		case errors.Is(err, boom):
+			failed++
+		case err != nil:
+			t.Errorf("unexpected error %v", err)
+		}
+	}
+	if failed != k-1 || failedBatch.Load() != k-1 {
+		t.Fatalf("%d appenders failed, failing batch carried %d; want both %d", failed, failedBatch.Load(), k-1)
+	}
+	if lsn, err := g.Append(RecCommit, nil); err != nil || lsn != 2 {
+		t.Fatalf("next leader after the failed batch: lsn=%d err=%v, want 2, nil", lsn, err)
+	}
+	if g.DurableLSN() != 2 || g.Waiters() != 0 {
+		t.Errorf("durable=%d waiters=%d, want 2, 0", g.DurableLSN(), g.Waiters())
 	}
 }
 
+// TestGroupLogCloseDrainsThenRejects: Close with appenders still
+// queued flushes every one of them before closing the inner log;
+// afterwards Append fails with ErrClosed and Close is idempotent.
 func TestGroupLogCloseDrainsThenRejects(t *testing.T) {
 	inner := NewMemLog()
 	g := NewGroupLog(inner, GroupCommitOptions{})
-	g.Append(RecCommit, nil)
-	if err := g.Close(); err != nil {
+	release := gateFirstFlush(g, nil)
+	const k = 8
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = g.Append(RecCommit, []byte{byte(i)})
+		}(i)
+	}
+	waitForWaiters(t, g, k)
+	closed := make(chan error, 1)
+	go func() { closed <- g.Close() }()
+	for {
+		g.mu.Lock()
+		c := g.closed
+		g.mu.Unlock()
+		if c {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	release()
+	if err := <-closed; err != nil {
 		t.Fatal(err)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("queued appender %d: %v", i, err)
+		}
+	}
+	if inner.LastLSN() != k {
+		t.Errorf("inner holds %d records after Close, want %d", inner.LastLSN(), k)
 	}
 	if _, err := g.Append(RecCommit, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v", err)
 	}
-	// Close is idempotent.
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGroupLogConcurrentLSNsDenseAndScanned: concurrent appenders get
+// distinct, contiguous LSNs, each appender's LSNs rise in its own
+// issue order, and Scan returns every record at the LSN its appender
+// was given — over native batching (MemLog, FileLog) and over the
+// per-record fallback for a log without AppendBatch.
+func TestGroupLogConcurrentLSNsDenseAndScanned(t *testing.T) {
+	fileLog := func(t *testing.T) Log {
+		fl, err := OpenFileLog(filepath.Join(t.TempDir(), "wal"), FileLogOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fl
+	}
+	for _, tc := range []struct {
+		name  string
+		inner func(t *testing.T) Log
+	}{
+		{"memlog", func(*testing.T) Log { return NewMemLog() }},
+		{"filelog", fileLog},
+		{"no-batch", func(*testing.T) Log { return struct{ Log }{NewMemLog()} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGroupLog(tc.inner(t), GroupCommitOptions{MaxBatch: 16})
+			defer g.Close()
+			const appenders, each = 8, 64
+			lsns := make([][]uint64, appenders)
+			var wg sync.WaitGroup
+			for a := 0; a < appenders; a++ {
+				wg.Add(1)
+				go func(a int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						lsn, err := g.Append(RecCommit, []byte{byte(a), byte(i)})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						lsns[a] = append(lsns[a], lsn)
+					}
+				}(a)
+			}
+			wg.Wait()
+
+			owner := make(map[uint64][2]byte)
+			for a, got := range lsns {
+				for i, lsn := range got {
+					if _, dup := owner[lsn]; dup {
+						t.Fatalf("LSN %d handed out twice", lsn)
+					}
+					if i > 0 && lsn <= got[i-1] {
+						t.Fatalf("appender %d: LSN %d after %d", a, lsn, got[i-1])
+					}
+					owner[lsn] = [2]byte{byte(a), byte(i)}
+				}
+			}
+			const n = appenders * each
+			if len(owner) != n || g.DurableLSN() != n || g.LastLSN() != n {
+				t.Fatalf("%d LSNs, durable=%d last=%d; want %d each", len(owner), g.DurableLSN(), g.LastLSN(), n)
+			}
+			next := uint64(1)
+			err := g.Scan(1, func(r Record) error {
+				if r.LSN != next {
+					return fmt.Errorf("scan gave LSN %d, want %d", r.LSN, next)
+				}
+				if want := owner[r.LSN]; string(r.Data) != string(want[:]) {
+					return fmt.Errorf("LSN %d holds %v, its appender wrote %v", r.LSN, r.Data, want)
+				}
+				next++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next != n+1 {
+				t.Fatalf("scan returned %d records, want %d", next-1, n)
+			}
+		})
+	}
+}
+
+// TestGroupLogStartsNoGoroutine: group commit runs on the appenders'
+// own goroutines — constructing and using a GroupLog adds none. (The
+// count may drop: goroutines of earlier tests can still be exiting.)
+func TestGroupLogStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	g := NewGroupLog(NewMemLog(), GroupCommitOptions{})
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("NewGroupLog: %d goroutines, was %d", after, before)
+	}
+	if _, err := g.Append(RecCommit, nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("after Append: %d goroutines, was %d", after, before)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGroupLogLingerOverSlowDeviceBatches: with a linger and a device
+// that pays one serialized force per write, 8 concurrent appenders
+// share flushes — batches larger than 1, fewer flushes than records.
+func TestGroupLogLingerOverSlowDeviceBatches(t *testing.T) {
+	dev := NewSlowDevice(NewMemLog(), time.Millisecond, nil)
+	g := NewGroupLog(dev, GroupCommitOptions{Linger: 2 * time.Millisecond})
+	defer g.Close()
+	var flushes, maxBatch atomic.Int64
+	g.SetFlushHook(func(batch int) {
+		flushes.Add(1)
+		if int64(batch) > maxBatch.Load() {
+			maxBatch.Store(int64(batch))
+		}
+	})
+	const appenders, each = 8, 4
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := g.Append(RecCommit, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if maxBatch.Load() <= 1 || flushes.Load() >= appenders*each {
+		t.Errorf("%d records took %d flushes, largest batch %d: no batching", appenders*each, flushes.Load(), maxBatch.Load())
+	}
+	if g.LastLSN() != appenders*each {
+		t.Errorf("LastLSN = %d, want %d", g.LastLSN(), appenders*each)
 	}
 }
 

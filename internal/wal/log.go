@@ -36,7 +36,8 @@ const (
 	// stability is the commit point of a transaction.
 	RecCommit
 	// RecApplied is the §5 step-6 record noting the database changes
-	// have been carried out (bounds redo work at recovery).
+	// have been carried out. Sites no longer write it (redo is
+	// idempotent per item); it stays so older logs still replay.
 	RecApplied
 	// RecCheckpoint snapshots store state to bound log scans (§7:
 	// "by using checkpointing mechanisms, the number of redo actions

@@ -201,7 +201,7 @@ func DecodeCommit(data []byte) (*CommitRec, error) {
 }
 
 // AppliedRec is the §5 step-6 record: the changes logged at CommitLSN
-// have been carried out against the database.
+// have been carried out against the database (see RecApplied).
 type AppliedRec struct {
 	CommitLSN uint64
 }
@@ -209,13 +209,8 @@ type AppliedRec struct {
 // Encode serializes the record payload.
 func (rec *AppliedRec) Encode() []byte {
 	var w wire.Writer
-	rec.EncodeTo(&w)
-	return w.Bytes()
-}
-
-// EncodeTo appends the record payload to w (byte-identical to Encode).
-func (rec *AppliedRec) EncodeTo(w *wire.Writer) {
 	w.U64(rec.CommitLSN)
+	return w.Bytes()
 }
 
 // DecodeApplied parses a RecApplied payload.
